@@ -21,12 +21,14 @@ vet:
 race:
 	$(GO) test -race ./...
 
-# bench runs the perf-regression subset benchreport records.
+# bench runs the perf-regression subset benchreport records, plus the
+# probe-index compaction and probe (canonicalise included) benchmarks.
 bench:
 	$(GO) test -run '^$$' -bench 'BenchmarkShuffleThroughput' -benchmem ./internal/mapreduce/
 	$(GO) test -run '^$$' -bench 'BenchmarkKernels' -benchmem ./internal/fragjoin/
 	$(GO) test -run '^$$' -bench 'BenchmarkParallelSpeedup|BenchmarkFig7' .
 	$(GO) test -run '^$$' -bench 'BenchmarkMemoryBudget' ./internal/mapreduce/
+	$(GO) test -run '^$$' -bench 'BenchmarkCompact|BenchmarkProbe' -benchmem ./internal/probeindex/
 
 # bench-report regenerates BENCH_PR10.json (engine, kernels with the
 # bitmap filter on and off, end-to-end and memory-budget suites plus

@@ -296,7 +296,7 @@ func runCluster(r, s *Collection, opt Options) (*Result, error) {
 		return nil, err
 	}
 
-	sup, err := mapreduce.StartSupervisor(mapreduce.SupervisorConfig{Dir: dir})
+	sup, err := mapreduce.StartSupervisor(mapreduce.SupervisorConfig{Dir: dir, Workers: opt.Workers})
 	if err != nil {
 		return nil, err
 	}

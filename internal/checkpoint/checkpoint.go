@@ -252,27 +252,29 @@ func (s *Store) Save(m Manifest, recs []Record) (err error) {
 	killPoint("save.start")
 	h := sha256.New()
 	bw := bufio.NewWriterSize(io.MultiWriter(f, h), 64<<10)
-	var scratch []byte
+	// head carries each frame's length prefixes and key; the value is
+	// encoded into val, one buffer reused across records, and written
+	// after its prefix without another copy.
+	var head, val []byte
 	write := func(b []byte) {
 		if err == nil {
 			_, err = bw.Write(b)
 		}
 	}
 	write([]byte(magic))
-	scratch = binary.AppendUvarint(scratch[:0], uint64(len(manifest)))
-	write(scratch)
+	head = binary.AppendUvarint(head[:0], uint64(len(manifest)))
+	write(head)
 	write(manifest)
 	for _, r := range recs {
-		scratch = binary.AppendUvarint(scratch[:0], uint64(len(r.Key)))
-		scratch = append(scratch, r.Key...)
-		var val []byte
-		if val, err = spill.AppendEncoded(nil, r.Value); err != nil {
+		if val, err = spill.AppendEncoded(val[:0], r.Value); err != nil {
 			err = fmt.Errorf("%w: %v", ErrUnencodable, err)
 			return err
 		}
-		scratch = binary.AppendUvarint(scratch, uint64(len(val)))
-		scratch = append(scratch, val...)
-		write(scratch)
+		head = binary.AppendUvarint(head[:0], uint64(len(r.Key)))
+		head = append(head, r.Key...)
+		head = binary.AppendUvarint(head, uint64(len(val)))
+		write(head)
+		write(val)
 	}
 	if err == nil {
 		err = bw.Flush()

@@ -63,6 +63,10 @@ type SupervisorConfig struct {
 	// ReassignBackoff is the base delay before a released task is granted
 	// again, doubling per release of the same task. 0 means 10 ms.
 	ReassignBackoff time.Duration
+	// Workers is how many worker processes the run launches. The startup
+	// grace lasts until that many have registered, so a worker that dies
+	// before its peers have dialled does not end the run. 0 means 1.
+	Workers int
 }
 
 // SupervisorCounters is a snapshot of the supervisor's fault accounting,
@@ -126,7 +130,6 @@ type Supervisor struct {
 	workers  map[int]*superWorker
 	counters SupervisorCounters
 	started  time.Time
-	everWork bool // a non-driver participant has registered at least once
 	closed   bool
 	fatal    error
 }
@@ -267,9 +270,6 @@ func (s *Supervisor) serveCtl(conn net.Conn, dec *json.Decoder, id int) {
 	}
 	w := &superWorker{id: id, ctl: conn, lastBeat: time.Now(), phaseSeq: -1}
 	s.workers[id] = w
-	if id != driverWorkerID {
-		s.everWork = true
-	}
 	s.mu.Unlock()
 	graceful := false
 	defer func() {
@@ -421,14 +421,15 @@ func (s *Supervisor) handleBarrier(seq int) ctlMsg {
 }
 
 // workersLost declares the run dead when no worker can finish the phase:
-// every registered worker is gone, or none ever registered within the
-// startup grace (the heartbeat timeout). Callers hold s.mu; the error is
-// sticky.
+// every registered worker is gone, and either all the expected workers
+// have registered or the startup grace (the heartbeat timeout) is over.
+// Callers hold s.mu; the error is sticky.
 func (s *Supervisor) workersLost(ph *superPhase) error {
-	if s.liveWorkers() {
+	live, registered := s.workerCounts()
+	if live > 0 {
 		return nil
 	}
-	if !s.everWork && time.Since(s.started) <= s.cfg.HeartbeatTimeout {
+	if registered < max(s.cfg.Workers, 1) && time.Since(s.started) <= s.cfg.HeartbeatTimeout {
 		return nil // startup grace: workers are still launching
 	}
 	err := fmt.Errorf("phase %d (%s/%v): all workers dead with %d/%d tasks incomplete",
@@ -437,15 +438,19 @@ func (s *Supervisor) workersLost(ph *superPhase) error {
 	return err
 }
 
-// liveWorkers reports whether any non-driver participant is still alive.
-// Callers hold s.mu.
-func (s *Supervisor) liveWorkers() bool {
+// workerCounts returns how many non-driver participants are alive and how
+// many have ever registered. Callers hold s.mu.
+func (s *Supervisor) workerCounts() (live, registered int) {
 	for id, w := range s.workers {
-		if id != driverWorkerID && !w.dead {
-			return true
+		if id == driverWorkerID {
+			continue
+		}
+		registered++
+		if !w.dead {
+			live++
 		}
 	}
-	return false
+	return live, registered
 }
 
 // fatalErr returns the sticky run-fatal error. Callers hold s.mu.

@@ -10,10 +10,11 @@ import (
 
 // distFixture runs one wordcount distributed across nWorkers in-process
 // WorkerClients plus the driver, all over a shared FSTransport, and
-// returns the driver's Result. mutateWorker lets a test sabotage one
-// worker's run (to simulate death) — it receives the worker id and the
-// dialed client before the run starts.
-func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id int, w *WorkerClient)) (*Result, *Supervisor) {
+// returns the driver's Result. beforeDial, when non-nil, runs in each
+// worker's goroutine before it dials, so a test can hold a worker back.
+// mutateWorker lets a test sabotage one worker's run (to simulate death) —
+// it receives the worker id and the dialed client before the run starts.
+func distFixture(t *testing.T, nWorkers int, input []KV, beforeDial func(id int), mutateWorker func(id int, w *WorkerClient)) (*Result, *Supervisor) {
 	t.Helper()
 	dir := t.TempDir()
 	sup, err := StartSupervisor(SupervisorConfig{
@@ -21,6 +22,7 @@ func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id in
 		LeaseDuration:    300 * time.Millisecond,
 		HeartbeatTimeout: 2 * time.Second,
 		ReassignBackoff:  2 * time.Millisecond,
+		Workers:          nWorkers,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -37,23 +39,27 @@ func distFixture(t *testing.T, nWorkers int, input []KV, mutateWorker func(id in
 	}
 	var wg sync.WaitGroup
 	for id := 0; id < nWorkers; id++ {
-		w, err := DialWorker(sup.Addr(), id, "")
-		if err != nil {
-			t.Fatal(err)
-		}
-		if mutateWorker != nil {
-			mutateWorker(id, w)
-		}
 		wg.Add(1)
 		// Stagger the starts so grants land in worker order — the death
-		// test relies on worker 0 holding the first lease.
-		go func(id int, w *WorkerClient) {
+		// tests rely on worker 0 holding the first lease.
+		go func(id int) {
 			defer wg.Done()
+			if beforeDial != nil {
+				beforeDial(id)
+			}
+			w, err := DialWorker(sup.Addr(), id, "")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if mutateWorker != nil {
+				mutateWorker(id, w)
+			}
 			time.Sleep(time.Duration(id) * 10 * time.Millisecond)
 			if _, err := runOne(id, w); err == nil {
 				w.Close() // graceful exit only on success
 			}
-		}(id, w)
+		}(id)
 	}
 	driver, err := DialWorker(sup.Addr(), driverWorkerID, "")
 	if err != nil {
@@ -81,7 +87,7 @@ func TestDistributedMatchesLocal(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dist, sup := distFixture(t, 3, input, nil)
+	dist, sup := distFixture(t, 3, input, nil, nil)
 	if !reflect.DeepEqual(local.Output, dist.Output) {
 		t.Fatalf("distributed output differs from local: %d vs %d records", len(local.Output), len(dist.Output))
 	}
@@ -114,7 +120,7 @@ func TestDistributedSurvivesWorkerDeath(t *testing.T) {
 	}
 	// Worker 0 "dies" at its first map boundary: the boundary hook drops
 	// both connections without a bye, so its granted lease is mid-flight.
-	dist, sup := distFixture(t, 2, input, func(id int, w *WorkerClient) {
+	dist, sup := distFixture(t, 2, input, nil, func(id int, w *WorkerClient) {
 		if id != 0 {
 			return
 		}
@@ -135,6 +141,46 @@ func TestDistributedSurvivesWorkerDeath(t *testing.T) {
 	}
 	if got.TasksReassigned == 0 {
 		t.Fatal("supervisor counted no task reassignments")
+	}
+}
+
+// TestSupervisorGraceAwaitsAllWorkers pins the startup race: worker 0
+// registers and dies at its first map boundary before worker 1 has dialled,
+// so for a while no worker is alive. The supervisor expects two workers, so
+// its startup grace holds until worker 1 registers — 100 ms after the
+// death, some 50 driver polls later — and worker 1 finishes the run.
+func TestSupervisorGraceAwaitsAllWorkers(t *testing.T) {
+	var lines []string
+	for i := 0; i < 50; i++ {
+		lines = append(lines, fmt.Sprintf("d%d x y shared d%d", i%9, i%4))
+	}
+	input := wcInput(lines...)
+	local, err := Run(Config{Name: "wc-dist", Cluster: tinyCluster(), MapTasks: 4}, input, wcMapper{}, wcReducer{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	died := make(chan struct{})
+	dist, sup := distFixture(t, 2, input, func(id int) {
+		if id == 1 {
+			<-died
+			time.Sleep(100 * time.Millisecond)
+		}
+	}, func(id int, w *WorkerClient) {
+		if id != 0 {
+			return
+		}
+		w.kill = killSpec{kind: "map", n: 1}
+		w.die = func() {
+			w.conn.Close()
+			w.beat.Close()
+			close(died)
+		}
+	})
+	if !reflect.DeepEqual(local.Output, dist.Output) {
+		t.Fatal("output differs after the only registered worker died")
+	}
+	if got := sup.Counters(); got.WorkerDeaths != 1 || got.TasksReassigned == 0 {
+		t.Fatalf("want one death and a reassignment, got %+v", got)
 	}
 }
 

@@ -443,46 +443,53 @@ func (ix *Index) restore(snap *checkpoint.Snapshot) error {
 	}
 
 	// CSR shape: monotone offsets bracketing rectok; per-record token
-	// slices strictly increasing with ranks inside the table; unique rids.
+	// slices strictly increasing with ranks inside the table. RIDs strictly
+	// increase across the base and then the log, as every writer lays them
+	// out (base slots in RID order, log entries appended with fresh RIDs),
+	// which also makes them unique.
 	if len(recOff) == 0 || recOff[0] != 0 || recOff[len(recOff)-1] != len(recTok) {
 		return errors.New("recoff does not bracket rectok")
 	}
 	if len(recRID) != len(recOff)-1 {
 		return errors.New("recrid length disagrees with recoff")
 	}
+	checkRanks := func(what string, i int, ts []uint32) error {
+		for j, t := range ts {
+			if int(t) >= len(tokStr) {
+				return fmt.Errorf("%s %d rank %d outside token table", what, i, t)
+			}
+			if j > 0 && ts[j-1] >= t {
+				return fmt.Errorf("%s %d tokens not strictly increasing", what, i)
+			}
+		}
+		return nil
+	}
 	maxRID := int32(-1)
-	seenRID := make(map[int32]bool, len(recRID)+len(logRIDs))
-	recs := make([]baseRec, len(recRID))
-	for s := range recRID {
+	ascending := func(rid int32) error {
+		if rid <= maxRID {
+			return fmt.Errorf("rid %d not above %d", rid, maxRID)
+		}
+		maxRID = rid
+		return nil
+	}
+	for s, rid := range recRID {
 		lo, hi := recOff[s], recOff[s+1]
 		if lo > hi || hi > len(recTok) {
 			return fmt.Errorf("recoff not monotone at slot %d", s)
 		}
-		ts := recTok[lo:hi]
-		for i, t := range ts {
-			if int(t) >= len(tokStr) {
-				return fmt.Errorf("slot %d rank %d outside token table", s, t)
-			}
-			if i > 0 && ts[i-1] >= t {
-				return fmt.Errorf("slot %d tokens not strictly increasing", s)
-			}
+		if err := checkRanks("slot", s, recTok[lo:hi]); err != nil {
+			return err
 		}
-		rid := recRID[s]
-		if seenRID[rid] {
-			return fmt.Errorf("duplicate rid %d", rid)
+		if err := ascending(rid); err != nil {
+			return err
 		}
-		seenRID[rid] = true
-		if rid > maxRID {
-			maxRID = rid
-		}
-		recs[s] = baseRec{rid: rid, toks: ts}
 	}
 
 	// Rebuild derived structure (postings, signatures, maps) from the
 	// validated records, then replay the overlay.
 	ix.tokStr = tokStr
 	ix.tokRank = tokRank
-	ix.assemble(recs)
+	ix.assemble(recOff, recTok, recRID)
 
 	for _, rid := range deleted {
 		s, ok := ix.slotOf[rid]
@@ -498,20 +505,11 @@ func (ix *Index) restore(snap *checkpoint.Snapshot) error {
 		if !ok {
 			return fmt.Errorf("missing log record %d", i)
 		}
-		for j, t := range ts {
-			if int(t) >= len(tokStr) {
-				return fmt.Errorf("log %d rank %d outside token table", i, t)
-			}
-			if j > 0 && ts[j-1] >= t {
-				return fmt.Errorf("log %d tokens not strictly increasing", i)
-			}
+		if err := checkRanks("log", i, ts); err != nil {
+			return err
 		}
-		if seenRID[rid] {
-			return fmt.Errorf("duplicate rid %d", rid)
-		}
-		seenRID[rid] = true
-		if rid > maxRID {
-			maxRID = rid
+		if err := ascending(rid); err != nil {
+			return err
 		}
 		e := logRec{rid: rid, toks: ts}
 		if ix.sigWords > 0 {

@@ -18,14 +18,17 @@
 // every prefix already indexed), Delete tombstones either a base slot or a
 // log entry, and probes take the union view — postings minus tombstones
 // plus a linear scan of the live log — under one RWMutex. Compact folds the
-// log back into the CSR base and recomputes the token order. Persistence
+// log back into the CSR base and recomputes the token order, sorting only
+// the tokens inserted since the last fold (see compactLocked). Persistence
 // (Save/Load) lives in persist.go and rides the internal/checkpoint
 // atomic-write, SHA-256-verified codec.
 package probeindex
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -139,11 +142,14 @@ type logRec struct {
 	dead bool
 }
 
-// scratch is the per-probe candidate-dedup workspace, generation-stamped so
-// reuse across probes never needs a clear.
+// scratch is the per-probe workspace: the candidate-dedup stamps,
+// generation-stamped so reuse across probes never needs a clear, and
+// canonicalize's buffers for the probe's known ranks and unknown tokens.
 type scratch struct {
-	seen []uint32
-	gen  uint32
+	seen  []uint32
+	gen   uint32
+	ranks []uint32
+	unk   []string
 }
 
 // Index is the probe index. All exported methods are safe for concurrent
@@ -161,6 +167,11 @@ type Index struct {
 	// ranks are stable between compactions.
 	tokStr  []string
 	tokRank map[string]uint32
+	// lex lists ranks [0, len(lex)) in lexicographic token order — the
+	// vocabulary of the last Build or compaction — so a compaction sorts
+	// only the tokens inserted since. Empty after Load until the first
+	// compaction works it out.
+	lex []uint32
 
 	// Base records, CSR: record slot s owns recTok[recOff[s]:recOff[s+1]],
 	// sorted ranks. dead marks tombstoned slots still present in postings.
@@ -223,57 +234,62 @@ func Build(c *tokens.Collection, tokenOf func(tokens.ID) string, opt Options) (*
 	// Global order: frequency ascending, ties by token string — the same
 	// rare-first order the batch pipeline computes, made self-contained so
 	// the index needs no external order to probe.
-	freq := make([]int64, int(c.MaxToken())+1)
+	freq := make([]int32, int(c.MaxToken())+1)
 	for _, r := range c.Records {
 		for _, t := range r.Tokens {
 			freq[t]++
 		}
 	}
-	ids := make([]tokens.ID, 0, len(freq))
+	strOf := make([]string, len(freq))
+	lex := make([]uint32, 0, len(freq))
 	for id, f := range freq {
 		if f > 0 {
-			ids = append(ids, tokens.ID(id))
+			strOf[id] = tokenOf(tokens.ID(id))
+			lex = append(lex, uint32(id))
 		}
 	}
-	strOf := make([]string, len(freq))
-	for _, id := range ids {
-		strOf[id] = tokenOf(id)
-	}
-	sort.Slice(ids, func(i, j int) bool {
-		a, b := ids[i], ids[j]
-		if freq[a] != freq[b] {
-			return freq[a] < freq[b]
-		}
-		return strOf[a] < strOf[b]
-	})
-	rankOf := make([]uint32, len(freq))
-	ix.tokStr = make([]string, len(ids))
-	ix.tokRank = make(map[string]uint32, len(ids))
-	for rank, id := range ids {
-		s := strOf[id]
-		if _, dup := ix.tokRank[s]; dup {
+	slices.SortFunc(lex, func(a, b uint32) int { return strings.Compare(strOf[a], strOf[b]) })
+	for i := 1; i < len(lex); i++ {
+		if s := strOf[lex[i]]; s == strOf[lex[i-1]] {
 			return nil, fmt.Errorf("probeindex: tokenOf not injective at %q", s)
 		}
-		rankOf[id] = uint32(rank)
-		ix.tokStr[rank] = s
-		ix.tokRank[s] = uint32(rank)
 	}
+	order := rankOrder(lex, freq)
+	rankOf := make([]uint32, len(freq))
+	ix.tokStr = make([]string, len(order))
+	ix.tokRank = make(map[string]uint32, len(order))
+	for rank, id := range order {
+		rankOf[id] = uint32(rank)
+		ix.tokStr[rank] = strOf[id]
+		ix.tokRank[strOf[id]] = uint32(rank)
+	}
+	for i, id := range lex {
+		lex[i] = rankOf[id]
+	}
+	ix.lex = lex
 
-	// Re-encode records into ranks, sorted per record.
-	recs := make([]baseRec, 0, len(c.Records))
-	ix.nextRID = 0
-	for _, r := range c.Records {
-		rs := make([]uint32, len(r.Tokens))
-		for i, t := range r.Tokens {
-			rs[i] = rankOf[t]
-		}
-		sort.Slice(rs, func(i, j int) bool { return rs[i] < rs[j] })
-		recs = append(recs, baseRec{rid: r.RID, toks: rs})
+	// Re-encode records into ranks, in RID order so the layout — and
+	// therefore the persisted bytes — is deterministic.
+	byRID := make([]int, len(c.Records))
+	total := 0
+	for i, r := range c.Records {
+		byRID[i] = i
+		total += len(r.Tokens)
+	}
+	slices.SortFunc(byRID, func(a, b int) int { return cmp.Compare(c.Records[a].RID, c.Records[b].RID) })
+	recOff := make([]int, 0, len(byRID)+1)
+	recTok := make([]uint32, 0, total)
+	recRID := make([]int32, 0, len(byRID))
+	for _, i := range byRID {
+		r := c.Records[i]
+		recOff = append(recOff, len(recTok))
+		recTok = appendReranked(recTok, r.Tokens, rankOf)
+		recRID = append(recRID, r.RID)
 		if r.RID >= ix.nextRID {
 			ix.nextRID = r.RID + 1
 		}
 	}
-	ix.assemble(recs)
+	ix.assemble(append(recOff, len(recTok)), recTok, recRID)
 	return ix, nil
 }
 
@@ -290,41 +306,72 @@ func newIndex(opt Options) *Index {
 	return ix
 }
 
-// baseRec is one record headed for the CSR base.
-type baseRec struct {
-	rid  int32
-	toks []uint32
+// rankOrder is the Ordering phase over a vocabulary listed in lexicographic
+// order: a stable counting sort of lex by frequency, dropping tokens of
+// frequency 0. The result lists the surviving entries of lex by (frequency
+// ascending, string ascending) — the global rare-first order — in time
+// linear in the vocabulary and the largest frequency.
+func rankOrder(lex []uint32, freq []int32) []uint32 {
+	var maxF int32
+	for _, t := range lex {
+		maxF = max(maxF, freq[t])
+	}
+	start := make([]int, maxF+1)
+	for _, t := range lex {
+		start[freq[t]]++
+	}
+	n := 0
+	for f := int32(1); f <= maxF; f++ {
+		start[f], n = n, n+start[f]
+	}
+	order := make([]uint32, n)
+	for _, t := range lex {
+		if f := freq[t]; f > 0 {
+			order[start[f]] = t
+			start[f]++
+		}
+	}
+	return order
 }
 
-// assemble (re)builds the CSR base, signatures and postings from rank-coded
-// records, leaving the overlay empty. Records are stored in RID order so
-// the layout — and therefore the persisted bytes — is deterministic.
-func (ix *Index) assemble(recs []baseRec) {
-	sort.Slice(recs, func(i, j int) bool { return recs[i].rid < recs[j].rid })
+// appendReranked appends one record's tokens, mapped through rankOf, to a
+// CSR token array and sorts the appended run.
+func appendReranked(dst, toks, rankOf []uint32) []uint32 {
+	n := len(dst)
+	for _, t := range toks {
+		dst = append(dst, rankOf[t])
+	}
+	slices.Sort(dst[n:])
+	return dst
+}
 
-	total := 0
-	for _, r := range recs {
-		total += len(r.toks)
+// reuse returns buf resized to n zeroed elements, keeping its array when it
+// is large enough. Only derived structure rebuilt under the write lock
+// goes through it, so no reader can still see the old contents.
+func reuse[T any](buf []T, n int) []T {
+	buf = slices.Grow(buf[:0], n)[:n]
+	clear(buf)
+	return buf
+}
+
+// assemble installs a rank-coded CSR base — records in strictly increasing
+// RID order — and rebuilds everything derived from it (slot map,
+// tombstones, signatures, postings), leaving the overlay empty.
+func (ix *Index) assemble(recOff []int, recTok []uint32, recRID []int32) {
+	ix.recOff, ix.recTok, ix.recRID = recOff, recTok, recRID
+	n := len(recRID)
+	ix.dead = reuse(ix.dead, n)
+	clear(ix.slotOf)
+	for s, rid := range recRID {
+		ix.slotOf[rid] = s
 	}
-	ix.recOff = make([]int, len(recs)+1)
-	ix.recTok = make([]uint32, 0, total)
-	ix.recRID = make([]int32, len(recs))
-	ix.dead = make([]bool, len(recs))
-	ix.slotOf = make(map[int32]int, len(recs))
-	for s, r := range recs {
-		ix.recOff[s] = len(ix.recTok)
-		ix.recTok = append(ix.recTok, r.toks...)
-		ix.recRID[s] = r.rid
-		ix.slotOf[r.rid] = s
-	}
-	ix.recOff[len(recs)] = len(ix.recTok)
 
 	ix.sigWords = 0
-	ix.recSig = nil
-	if ix.bitmap.Enabled() && len(recs) > 0 {
-		ix.sigWords = ix.bitmap.Words(float64(total) / float64(len(recs)))
-		ix.recSig = make([]filters.Signature, len(recs))
-		for s := range recs {
+	ix.recSig = ix.recSig[:0]
+	if ix.bitmap.Enabled() && n > 0 {
+		ix.sigWords = ix.bitmap.Words(float64(len(recTok)) / float64(n))
+		ix.recSig = reuse(ix.recSig, n)
+		for s := range ix.recSig {
 			filters.BuildSignature(&ix.recSig[s], ix.slotToks(s), ix.sigWords)
 		}
 	}
@@ -332,46 +379,49 @@ func (ix *Index) assemble(recs []baseRec) {
 	ix.rebuildPostings()
 
 	ix.log = nil
-	ix.logSlot = map[int32]int{}
+	clear(ix.logSlot)
 	ix.logLive = 0
 	ix.baseDead = 0
-	ix.liveN = len(recs)
+	ix.liveN = n
 }
 
 // rebuildPostings fills the prefix-postings CSR from the base records: rank
-// w lists every base slot whose probing prefix contains w, with w's
-// position. Indexing the probing (not the shorter indexing) prefix keeps
-// the index complete for arbitrary external probes, not only self-joins.
+// w lists every base slot whose probing prefix contains w, in slot order,
+// with w's position. Indexing the probing (not the shorter indexing)
+// prefix keeps the index complete for arbitrary external probes, not only
+// self-joins.
 func (ix *Index) rebuildPostings() {
-	counts := make([]int, len(ix.tokStr)+1)
+	nTok := len(ix.tokStr)
+	// off[w] counts, then ends, then (filled back to front) starts rank
+	// w's postings; off[nTok] is the total.
+	off := reuse(ix.postOff, nTok+1)
 	nrec := len(ix.recRID)
 	for s := 0; s < nrec; s++ {
 		ts := ix.slotToks(s)
-		p := ix.fn.ProbePrefixLen(ix.theta, len(ts))
-		for i := 0; i < p; i++ {
-			counts[ts[i]+1]++
+		for _, w := range ts[:ix.fn.ProbePrefixLen(ix.theta, len(ts))] {
+			off[w]++
 		}
 	}
-	for w := 1; w < len(counts); w++ {
-		counts[w] += counts[w-1]
+	for w := 1; w < nTok; w++ {
+		off[w] += off[w-1]
 	}
-	ix.postOff = counts
-	n := counts[len(counts)-1]
-	ix.postSlot = make([]int32, n)
-	ix.postPos = make([]int32, n)
-	cur := make([]int, len(ix.tokStr))
-	copy(cur, ix.postOff[:len(ix.tokStr)])
-	for s := 0; s < nrec; s++ {
+	n := 0
+	if nTok > 0 {
+		n = off[nTok-1]
+	}
+	off[nTok] = n
+	ix.postSlot = reuse(ix.postSlot, n)
+	ix.postPos = reuse(ix.postPos, n)
+	for s := nrec - 1; s >= 0; s-- {
 		ts := ix.slotToks(s)
-		p := ix.fn.ProbePrefixLen(ix.theta, len(ts))
-		for i := 0; i < p; i++ {
-			w := ts[i]
-			k := cur[w]
+		for i := ix.fn.ProbePrefixLen(ix.theta, len(ts)) - 1; i >= 0; i-- {
+			k := off[ts[i]] - 1
+			off[ts[i]] = k
 			ix.postSlot[k] = int32(s)
 			ix.postPos[k] = int32(i)
-			cur[w] = k + 1
 		}
 	}
+	ix.postOff = off
 }
 
 func (ix *Index) slotToks(s int) []uint32 {
@@ -386,29 +436,24 @@ func (ix *Index) slotToks(s int) []uint32 {
 // indexed one — so scanning only the known ranks inside the probe's prefix
 // stays complete, while the probe's full length L = known + unknown feeds
 // the same prefix/overlap algebra the batch pipeline uses.
-func (ix *Index) canonicalize(set []string) (ranks []uint32, total int) {
-	ranks = make([]uint32, 0, len(set))
-	var unk map[string]struct{}
+//
+// The ranks live in sc and stay valid until sc goes back to the pool.
+func (ix *Index) canonicalize(sc *scratch, set []string) (ranks []uint32, total int) {
+	ranks, unk := sc.ranks[:0], sc.unk[:0]
 	for _, tok := range set {
 		if r, ok := ix.tokRank[tok]; ok {
 			ranks = append(ranks, r)
 		} else {
-			if unk == nil {
-				unk = make(map[string]struct{}, 4)
-			}
-			unk[tok] = struct{}{}
+			unk = append(unk, tok)
 		}
 	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
-	w := 0
-	for i, r := range ranks {
-		if i == 0 || r != ranks[i-1] {
-			ranks[w] = r
-			w++
-		}
-	}
-	ranks = ranks[:w]
-	return ranks, w + len(unk)
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
+	slices.Sort(unk)
+	nUnk := len(slices.Compact(unk))
+	clear(unk) // the pool must not pin the caller's strings
+	sc.ranks, sc.unk = ranks, unk[:0]
+	return ranks, len(ranks) + nUnk
 }
 
 // Probe returns every live indexed record θ-similar to the given token set,
@@ -417,8 +462,10 @@ func (ix *Index) canonicalize(set []string) (ranks []uint32, total int) {
 func (ix *Index) Probe(set []string) []Match {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
-	ranks, total := ix.canonicalize(set)
-	return ix.probeLocked(ranks, total, 0, false)
+	sc := ix.scratchPool.Get().(*scratch)
+	defer ix.scratchPool.Put(sc)
+	ranks, total := ix.canonicalize(sc, set)
+	return ix.probeLocked(sc, ranks, total, 0, false)
 }
 
 // ProbeRecord probes with an indexed record's own token set, excluding the
@@ -426,15 +473,17 @@ func (ix *Index) Probe(set []string) []Match {
 func (ix *Index) ProbeRecord(rid int32) ([]Match, error) {
 	ix.mu.RLock()
 	defer ix.mu.RUnlock()
+	var ts []uint32
 	if s, ok := ix.slotOf[rid]; ok && !ix.dead[s] {
-		ts := ix.slotToks(s)
-		return ix.probeLocked(ts, len(ts), rid, true), nil
+		ts = ix.slotToks(s)
+	} else if li, ok := ix.logSlot[rid]; ok && !ix.log[li].dead {
+		ts = ix.log[li].toks
+	} else {
+		return nil, fmt.Errorf("probeindex: record %d not in index", rid)
 	}
-	if li, ok := ix.logSlot[rid]; ok && !ix.log[li].dead {
-		ts := ix.log[li].toks
-		return ix.probeLocked(ts, len(ts), rid, true), nil
-	}
-	return nil, fmt.Errorf("probeindex: record %d not in index", rid)
+	sc := ix.scratchPool.Get().(*scratch)
+	defer ix.scratchPool.Put(sc)
+	return ix.probeLocked(sc, ts, len(ts), rid, true), nil
 }
 
 // probeLocked runs the filter chain under a held read lock. ranks is the
@@ -447,7 +496,7 @@ func (ix *Index) ProbeRecord(rid int32) ([]Match, error) {
 // the group RIDPairsPPJoin would discover the pair in — and the positional
 // bound is loosest there. A slot rejected at first contact is therefore
 // rejected in every group, and the seen-stamp may finalise it.
-func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl bool) []Match {
+func (ix *Index) probeLocked(sc *scratch, ranks []uint32, total int, exclude int32, hasExcl bool) []Match {
 	ix.probes.Add(1)
 	if total == 0 {
 		return nil
@@ -461,7 +510,6 @@ func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl b
 	}
 
 	nBase := len(ix.recRID)
-	sc := ix.scratchPool.Get().(*scratch)
 	if len(sc.seen) < nBase {
 		sc.seen = make([]uint32, nBase)
 		sc.gen = 0
@@ -524,7 +572,6 @@ func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl b
 			out = append(out, Match{RID: rid, Common: int32(c), Sim: ix.fn.Sim(c, total, lx)})
 		}
 	}
-	ix.scratchPool.Put(sc)
 
 	// Overlay: linear scan of live log entries with the same filter chain
 	// minus the positional filter (the log has no postings positions).
@@ -553,7 +600,7 @@ func (ix *Index) probeLocked(ranks []uint32, total int, exclude int32, hasExcl b
 		out = append(out, Match{RID: e.rid, Common: int32(c), Sim: ix.fn.Sim(c, total, lx)})
 	}
 
-	sort.Slice(out, func(i, j int) bool { return out[i].RID < out[j].RID })
+	slices.SortFunc(out, func(a, b Match) int { return cmp.Compare(a.RID, b.RID) })
 	ix.candidates.Add(cand)
 	ix.hits.Add(int64(len(out)))
 	return out
@@ -596,15 +643,8 @@ func (ix *Index) applyInsertLocked(rid int32, set []string) {
 		}
 		ranks = append(ranks, r)
 	}
-	sort.Slice(ranks, func(i, j int) bool { return ranks[i] < ranks[j] })
-	w := 0
-	for i, r := range ranks {
-		if i == 0 || r != ranks[i-1] {
-			ranks[w] = r
-			w++
-		}
-	}
-	ranks = ranks[:w]
+	slices.Sort(ranks)
+	ranks = slices.Compact(ranks)
 	e := logRec{rid: rid, toks: ranks}
 	if ix.sigWords > 0 {
 		filters.BuildSignature(&e.sig, ranks, ix.sigWords)
@@ -692,68 +732,99 @@ func (ix *Index) Compact() error {
 }
 
 // compactLocked is the in-memory fold, shared by Compact and the durable
-// checkpoint path.
+// checkpoint path. It is linear in the corpus apart from sorting the
+// tokens inserted since the last compaction and each record's own ranks:
+// the kept lexicographic order, merged with the sorted new tokens, feeds
+// the same counting sort by frequency that Build uses, and tokRank is
+// updated in place.
 func (ix *Index) compactLocked() {
-	// Collect live records in old ranks.
-	type oldRec struct {
-		rid  int32
-		toks []uint32
-	}
-	live := make([]oldRec, 0, ix.liveN)
+	freq := make([]int32, len(ix.tokStr))
+	total := 0
 	for s := range ix.recRID {
 		if !ix.dead[s] {
-			live = append(live, oldRec{rid: ix.recRID[s], toks: ix.slotToks(s)})
+			for _, t := range ix.slotToks(s) {
+				freq[t]++
+			}
+			total += ix.recOff[s+1] - ix.recOff[s]
 		}
 	}
 	for li := range ix.log {
-		if !ix.log[li].dead {
-			live = append(live, oldRec{rid: ix.log[li].rid, toks: ix.log[li].toks})
+		if e := &ix.log[li]; !e.dead {
+			for _, t := range e.toks {
+				freq[t]++
+			}
+			total += len(e.toks)
 		}
 	}
 
-	// Recompute the order over surviving tokens.
-	freq := make([]int64, len(ix.tokStr))
-	for _, r := range live {
-		for _, t := range r.toks {
-			freq[t]++
-		}
-	}
-	oldRanks := make([]uint32, 0, len(ix.tokStr))
-	for t, f := range freq {
-		if f > 0 {
-			oldRanks = append(oldRanks, uint32(t))
-		}
-	}
-	sort.Slice(oldRanks, func(i, j int) bool {
-		a, b := oldRanks[i], oldRanks[j]
-		if freq[a] != freq[b] {
-			return freq[a] < freq[b]
-		}
-		return ix.tokStr[a] < ix.tokStr[b]
-	})
+	lex := ix.lexOrder()
+	order := rankOrder(lex, freq)
 	oldToNew := make([]uint32, len(ix.tokStr))
-	newStr := make([]string, len(oldRanks))
-	newRank := make(map[string]uint32, len(oldRanks))
-	for nr, or := range oldRanks {
+	newStr := make([]string, len(order))
+	for nr, or := range order {
 		oldToNew[or] = uint32(nr)
 		newStr[nr] = ix.tokStr[or]
-		newRank[ix.tokStr[or]] = uint32(nr)
+		ix.tokRank[newStr[nr]] = uint32(nr)
 	}
-	ix.tokStr = newStr
-	ix.tokRank = newRank
-
-	recs := make([]baseRec, len(live))
-	for i, r := range live {
-		rs := make([]uint32, len(r.toks))
-		for j, t := range r.toks {
-			rs[j] = oldToNew[t]
+	w := 0
+	for _, or := range lex {
+		if freq[or] > 0 {
+			lex[w] = oldToNew[or]
+			w++
+		} else {
+			delete(ix.tokRank, ix.tokStr[or])
 		}
-		sort.Slice(rs, func(a, b int) bool { return rs[a] < rs[b] })
-		recs[i] = baseRec{rid: r.rid, toks: rs}
 	}
-	ix.assemble(recs)
+	ix.lex = lex[:w]
+	ix.tokStr = newStr
+
+	// Live records, re-ranked straight into the new CSR. Base slots are in
+	// RID order and every log entry was inserted after the last fold with
+	// a larger RID than any before it, so the concatenation is in RID
+	// order too.
+	recOff := make([]int, 0, ix.liveN+1)
+	recTok := make([]uint32, 0, total)
+	recRID := make([]int32, 0, ix.liveN)
+	for s, rid := range ix.recRID {
+		if !ix.dead[s] {
+			recOff = append(recOff, len(recTok))
+			recTok = appendReranked(recTok, ix.slotToks(s), oldToNew)
+			recRID = append(recRID, rid)
+		}
+	}
+	for li := range ix.log {
+		if e := &ix.log[li]; !e.dead {
+			recOff = append(recOff, len(recTok))
+			recTok = appendReranked(recTok, e.toks, oldToNew)
+			recRID = append(recRID, e.rid)
+		}
+	}
+	ix.assemble(append(recOff, len(recTok)), recTok, recRID)
 	ix.compactions.Add(1)
 	ix.lastCompact = time.Now()
+}
+
+// lexOrder lists every rank in lexicographic token order: the kept order
+// of ranks [0, len(lex)) merged with the ranks inserted since, which alone
+// need sorting. After Load nothing is kept, so the first compaction sorts
+// the whole vocabulary once.
+func (ix *Index) lexOrder() []uint32 {
+	fresh := make([]uint32, 0, len(ix.tokStr)-len(ix.lex))
+	for r := len(ix.lex); r < len(ix.tokStr); r++ {
+		fresh = append(fresh, uint32(r))
+	}
+	slices.SortFunc(fresh, func(a, b uint32) int { return strings.Compare(ix.tokStr[a], ix.tokStr[b]) })
+	out := make([]uint32, 0, len(ix.tokStr))
+	kept := ix.lex
+	for len(kept) > 0 && len(fresh) > 0 {
+		if ix.tokStr[kept[0]] < ix.tokStr[fresh[0]] {
+			out, kept = append(out, kept[0]), kept[1:]
+		} else {
+			out, fresh = append(out, fresh[0]), fresh[1:]
+		}
+	}
+	out = append(out, kept...)
+	return append(out, fresh...)
 }
 
 // Len returns the number of live records.

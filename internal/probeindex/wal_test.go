@@ -340,9 +340,12 @@ func TestWALErrorPoisonsLog(t *testing.T) {
 
 // TestWALGroupCommitFlush: under SyncInterval, Maintain flushes pending
 // bytes once the window elapses, and the synced-bytes counter advances.
+// The window is long enough that the insert right after Persist always
+// lands inside it, even on a loaded host under the race detector.
 func TestWALGroupCommitFlush(t *testing.T) {
+	const window = 200 * time.Millisecond
 	dir := t.TempDir()
-	ix, _ := buildDurable(t, dir, DurableOptions{Sync: SyncPolicy{Mode: SyncInterval, Interval: time.Millisecond}})
+	ix, _ := buildDurable(t, dir, DurableOptions{Sync: SyncPolicy{Mode: SyncInterval, Interval: window}})
 	if _, err := ix.Insert([]string{"grouped"}); err != nil {
 		t.Fatal(err)
 	}
@@ -352,7 +355,7 @@ func TestWALGroupCommitFlush(t *testing.T) {
 	if pending == 0 {
 		t.Fatal("append was synced eagerly under interval mode")
 	}
-	time.Sleep(2 * time.Millisecond)
+	time.Sleep(window + time.Millisecond)
 	if err := ix.Maintain(); err != nil {
 		t.Fatal(err)
 	}

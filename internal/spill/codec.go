@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 )
 
 // The run format stores each value as a one-byte type tag followed by a
@@ -272,6 +273,7 @@ func DecodeEncoded(b []byte) (any, error) { return decodeValue(b) }
 
 // AppendU32s appends a uvarint count followed by fixed little-endian words.
 func AppendU32s(buf []byte, xs []uint32) []byte {
+	buf = slices.Grow(buf, binary.MaxVarintLen64+4*len(xs))
 	buf = binary.AppendUvarint(buf, uint64(len(xs)))
 	for _, x := range xs {
 		buf = binary.LittleEndian.AppendUint32(buf, x)
@@ -281,6 +283,7 @@ func AppendU32s(buf []byte, xs []uint32) []byte {
 
 // AppendI32s appends a uvarint count followed by fixed little-endian words.
 func AppendI32s(buf []byte, xs []int32) []byte {
+	buf = slices.Grow(buf, binary.MaxVarintLen64+4*len(xs))
 	buf = binary.AppendUvarint(buf, uint64(len(xs)))
 	for _, x := range xs {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(x))

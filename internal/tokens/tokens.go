@@ -10,7 +10,7 @@ package tokens
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -33,7 +33,7 @@ type Record struct {
 func NewRecord(rid int32, ids []ID) Record {
 	ts := make([]ID, len(ids))
 	copy(ts, ids)
-	sort.Slice(ts, func(i, j int) bool { return ts[i] < ts[j] })
+	slices.Sort(ts)
 	ts = dedupSorted(ts)
 	return Record{RID: rid, Tokens: ts}
 }
